@@ -154,18 +154,6 @@ class Engine {
   /// Same, for already-preprocessed documents.
   Result<uint32_t> IngestDocuments(const std::vector<Document>& documents);
 
-  /// IngestDocuments for one shard of a partitioned tick: `documents`
-  /// are this engine's partition, but the chi-squared/rho independence
-  /// tests run against `global_document_count` — the whole tick's n
-  /// across every shard — so partitioning a tick does not shift the
-  /// Section 3 statistics (see
-  /// IntervalClustererOptions::document_count_override). With
-  /// global_document_count == documents.size() this is exactly
-  /// IngestDocuments. Used by ShardedEngine.
-  Result<uint32_t> IngestDocumentsGlobal(
-      const std::vector<Document>& documents,
-      uint64_t global_document_count);
-
   /// Invoked after each corpus interval commits: the interval index and
   /// its raw posts. A non-OK return aborts the ingest.
   using TickCallback =
@@ -280,12 +268,8 @@ class Engine {
   // double-assume).
   Result<uint32_t> IngestTextLocked(const std::vector<std::string>& posts)
       REQUIRES(writer_role_);
-  // document_count_override threads the tick-global n of a sharded
-  // ingest into the clustering statistics; 0 (every non-sharded path)
-  // keeps the local document count.
   Result<uint32_t> IngestDocumentsLocked(
-      const std::vector<Document>& documents,
-      uint64_t document_count_override = 0) REQUIRES(writer_role_);
+      const std::vector<Document>& documents) REQUIRES(writer_role_);
   Result<uint32_t> IngestTicksLocked(
       const std::vector<std::vector<std::string>>& ticks,
       const TickCallback& on_tick) REQUIRES(writer_role_);
@@ -305,7 +289,7 @@ class Engine {
   // the previous interval commits — hence no REQUIRES(writer_role_).
   Result<std::shared_ptr<SnapshotInterval>> ClusterInterval(
       uint32_t interval, const std::vector<std::vector<KeywordId>>& interned,
-      size_t vocab_snapshot, uint64_t document_count_override = 0);
+      size_t vocab_snapshot);
   // Stage B of a tick (serial): slot adoption, frontier joins, graph
   // extension, warm-online feed, snapshot publish.
   Result<uint32_t> CommitInterval(std::shared_ptr<SnapshotInterval> slot)
@@ -313,8 +297,7 @@ class Engine {
   // ClusterInterval + CommitInterval (the unpipelined tick).
   Result<uint32_t> IngestInterned(
       const std::vector<std::vector<KeywordId>>& interned,
-      size_t vocab_snapshot,
-      uint64_t document_count_override = 0) REQUIRES(writer_role_);
+      size_t vocab_snapshot) REQUIRES(writer_role_);
   // Joins the new interval's clusters against the gap window and extends
   // the graph in place (the incremental half of the old BuildClusterGraph).
   Status ExtendGraph(uint32_t interval) REQUIRES(writer_role_);

@@ -11,9 +11,6 @@ namespace {
 Result<IntervalResult> BuildFromTable(
     const IntervalClustererOptions& options, IoStats* stats,
     uint32_t interval, CooccurrenceTable* table) {
-  if (options.document_count_override != 0) {
-    table->document_count = options.document_count_override;
-  }
   IntervalResult result;
   result.interval = interval;
 

@@ -247,13 +247,6 @@ std::string EncodeStatsBody(const WireStats& stats) {
   PutPod<uint64_t>(&body, stats.queries_rejected);
   PutPod<uint64_t>(&body, stats.queries_served);
   PutPod<uint64_t>(&body, stats.queries_failed);
-  PutPod<uint32_t>(&body, static_cast<uint32_t>(stats.shards.size()));
-  for (const WireShardStats& shard : stats.shards) {
-    PutPod<uint64_t>(&body, shard.clusters);
-    PutPod<uint64_t>(&body, shard.edges);
-    PutPod<uint64_t>(&body, shard.keywords);
-    PutPod<uint64_t>(&body, shard.resident_bytes);
-  }
   return body;
 }
 
@@ -266,22 +259,10 @@ Status DecodeStatsBody(const std::string& body, WireStats* stats) {
       !in.Get(&stats->query_cache_misses) ||
       !in.Get(&stats->subscriptions_active) ||
       !in.Get(&stats->pushes_sent) || !in.Get(&stats->queries_rejected) ||
-      !in.Get(&stats->queries_served) || !in.Get(&stats->queries_failed)) {
+      !in.Get(&stats->queries_served) || !in.Get(&stats->queries_failed) ||
+      !in.Done()) {
     return Malformed("stats");
   }
-  uint32_t shard_count = 0;
-  if (!in.Get(&shard_count) ||
-      shard_count > kMaxFramePayload / sizeof(WireShardStats)) {
-    return Malformed("stats");
-  }
-  stats->shards.resize(shard_count);
-  for (WireShardStats& shard : stats->shards) {
-    if (!in.Get(&shard.clusters) || !in.Get(&shard.edges) ||
-        !in.Get(&shard.keywords) || !in.Get(&shard.resident_bytes)) {
-      return Malformed("stats");
-    }
-  }
-  if (!in.Done()) return Malformed("stats");
   return Status::OK();
 }
 

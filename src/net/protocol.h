@@ -132,20 +132,6 @@ struct WireDelta {
   std::vector<std::pair<uint32_t, WireChain>> changes;  ///< (rank, entry).
 };
 
-/// Per-shard slice of a STATS_RESULT when the server fronts a
-/// ShardedEngine (empty for a single engine).
-struct WireShardStats {
-  uint64_t clusters = 0;
-  uint64_t edges = 0;
-  uint64_t keywords = 0;
-  uint64_t resident_bytes = 0;
-
-  friend bool operator==(const WireShardStats& a, const WireShardStats& b) {
-    return a.clusters == b.clusters && a.edges == b.edges &&
-           a.keywords == b.keywords && a.resident_bytes == b.resident_bytes;
-  }
-};
-
 /// STATS_RESULT body: the served engine's point-in-time stats plus the
 /// serving layer's admission/push counters.
 struct WireStats {
@@ -164,8 +150,6 @@ struct WireStats {
   /// Queries that errored or whose worker died mid-query (ReaderFleet
   /// failures + per-query error replies).
   uint64_t queries_failed = 0;
-  /// One entry per shard when serving a ShardedEngine; empty otherwise.
-  std::vector<WireShardStats> shards;
 };
 
 /// RETRY body: queue diagnostics at rejection time.

@@ -1,6 +1,5 @@
 #include "net/server.h"
 
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include "net/socket.h"
@@ -13,11 +12,26 @@ namespace {
 constexpr size_t kReadChunk = 16 * 1024;
 }  // namespace
 
-Server::Server(Engine* engine, ServerOptions options)
-    : backend_(MakeServingBackend(engine)), options_(std::move(options)) {}
+std::vector<WireChain> ToWireChains(const GraphSnapshot& snapshot,
+                                    const QueryResult& result,
+                                    uint8_t flags) {
+  std::vector<WireChain> out;
+  out.reserve(result.chains.size());
+  for (const StableClusterChain& chain : result.chains) {
+    WireChain wire;
+    wire.nodes = chain.path.nodes;
+    wire.weight = chain.path.weight;
+    wire.length = chain.path.length;
+    if (flags & kFlagRender) {
+      wire.rendered = snapshot.RenderChain(chain);
+    }
+    out.push_back(std::move(wire));
+  }
+  return out;
+}
 
-Server::Server(ShardedEngine* engine, ServerOptions options)
-    : backend_(MakeServingBackend(engine)), options_(std::move(options)) {}
+Server::Server(Engine* engine, ServerOptions options)
+    : engine_(engine), options_(std::move(options)) {}
 
 Server::~Server() { Shutdown(); }
 
@@ -55,9 +69,9 @@ Status Server::Start() {
       worker_count, [this](size_t) { WorkerLoop(); });
   notifier_ = std::make_unique<ReaderFleet>(
       1, [this](size_t) { NotifierLoop(); });
-  backend_->SetPublishCallback(
-      [this](const std::shared_ptr<const ServingView>& view) {
-        OnPublish(view);
+  engine_->SetPublishCallback(
+      [this](const std::shared_ptr<const GraphSnapshot>& snap) {
+        OnPublish(snap);
       });
   running_.store(true, std::memory_order_release);
   loop_thread_ = std::thread([this] { RunLoop(); });
@@ -88,7 +102,7 @@ void Server::Shutdown() {
   notifier_->Join();
   // Writer-side deregistration: the caller guarantees ingest is
   // quiescent across Shutdown (see the lifecycle note in the header).
-  backend_->SetPublishCallback(nullptr);
+  engine_->SetPublishCallback(nullptr);
   running_.store(false, std::memory_order_release);
 }
 
@@ -170,12 +184,11 @@ bool Server::AnyPendingOutput() const {
 
 void Server::OnAccept() {
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN/EINTR/transient: next poll retries.
-    if (!SetNonBlocking(fd).ok()) {
-      ::close(fd);
-      continue;
-    }
+    auto accepted = AcceptTcp(listen_fd_);
+    // EAGAIN/EINTR/transient (the helper closed any half-set-up fd): the
+    // next poll retries whatever is still queued.
+    if (!accepted.ok()) return;
+    const int fd = accepted.value();
     auto conn = std::make_unique<Connection>();
     conn->id = next_connection_id_++;
     conn->fd = fd;
@@ -231,12 +244,12 @@ void Server::HandleFrame(Connection* conn, const Frame& frame) {
   switch (frame.type) {
     case MsgType::kPing:
       Reply(conn, MsgType::kPong, frame.request_id,
-            EncodeU64Body(backend_->Pin()->epoch()));
+            EncodeU64Body(engine_->snapshot()->epoch));
       return;
     case MsgType::kStats: {
-      const EngineStats engine_stats = backend_->stats();
+      const EngineStats engine_stats = engine_->stats();
       WireStats stats;
-      stats.epoch = backend_->Pin()->epoch();
+      stats.epoch = engine_->snapshot()->epoch;
       stats.intervals = engine_stats.intervals;
       stats.clusters = engine_stats.clusters;
       stats.edges = engine_stats.edges;
@@ -251,7 +264,6 @@ void Server::HandleFrame(Connection* conn, const Frame& frame) {
       stats.queries_served =
           queries_served_.load(std::memory_order_relaxed);
       stats.queries_failed = queries_failed();
-      stats.shards = backend_->shard_stats();
       Reply(conn, MsgType::kStatsResult, frame.request_id,
             EncodeStatsBody(stats));
       return;
@@ -360,13 +372,17 @@ void Server::WorkerLoop() {
     }
     if (options_.worker_test_hook) options_.worker_test_hook();
     // Pin the latest epoch for this query; the finder runs entirely on
-    // the pinned view, concurrent with ingest and the other workers.
-    const std::shared_ptr<const ServingView> view = backend_->Pin();
-    auto result = view->RunQuery(job.query, job.flags);
+    // the snapshot, concurrent with ingest and the other workers.
+    const std::shared_ptr<const GraphSnapshot> snap = engine_->snapshot();
+    auto result = engine_->QueryAt(snap, job.query);
     std::string frame;
     if (result.ok()) {
+      WireResult wire;
+      wire.epoch = result.value().epoch;
+      wire.warm_online = result.value().warm_online;
+      wire.chains = ToWireChains(*snap, result.value(), job.flags);
       frame = EncodeFrame(MsgType::kResult, job.request_id,
-                          EncodeResultBody(result.value()));
+                          EncodeResultBody(wire));
       queries_served_.fetch_add(1, std::memory_order_relaxed);
     } else {
       frame = EncodeFrame(MsgType::kError, job.request_id,
@@ -378,41 +394,45 @@ void Server::WorkerLoop() {
   }
 }
 
-void Server::OnPublish(const std::shared_ptr<const ServingView>& view) {
+void Server::OnPublish(
+    const std::shared_ptr<const GraphSnapshot>& snapshot) {
   if (draining_.load(std::memory_order_acquire)) return;
   {
     MutexLock lock(snap_mu_);
-    snapshots_.push_back(view);
+    snapshots_.push_back(snapshot);
   }
   snap_cv_.NotifyOne();
 }
 
 void Server::NotifierLoop() {
   for (;;) {
-    std::shared_ptr<const ServingView> view;
+    std::shared_ptr<const GraphSnapshot> snap;
     {
       MutexLock lock(snap_mu_);
       while (!stop_notifier_ && snapshots_.empty()) snap_cv_.Wait(lock);
       if (snapshots_.empty()) return;  // stop_notifier_ and drained.
-      view = std::move(snapshots_.front());
+      snap = std::move(snapshots_.front());
       snapshots_.pop_front();
       notifier_busy_ = true;
     }
     // Every epoch is processed (never coalesced): subscribers see the
     // exact per-epoch delta sequence a serial replay would compute.
     for (const auto& sub : registry_.Snapshot()) {
-      auto result = view->RunQuery(sub->query, sub->flags);
+      auto result = engine_->QueryAt(snap, sub->query);
       if (!result.ok()) continue;  // Validated at SUBSCRIBE.
-      std::vector<WireChain> now = std::move(result.value().chains);
+      std::vector<WireChain> now =
+          ToWireChains(*snap, result.value(), sub->flags);
       WireDelta delta = DiffTopK(sub->last, now);
       delta.subscription_id = sub->id;
-      delta.epoch = view->epoch();
+      delta.epoch = snap->epoch;
       sub->last = std::move(now);
+      // Counted before the hand-off, so a client holding the delta never
+      // reads a STATS count that misses it.
+      pushes_sent_.fetch_add(1, std::memory_order_relaxed);
       EnqueueOutbound(sub->connection_id,
                       EncodeFrame(MsgType::kDelta, 0,
                                   EncodeDeltaBody(delta)),
                       /*completes_query=*/false);
-      pushes_sent_.fetch_add(1, std::memory_order_relaxed);
     }
     {
       MutexLock lock(snap_mu_);

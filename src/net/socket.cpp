@@ -29,6 +29,14 @@ Result<in_addr> ResolveHost(const std::string& host) {
   return addr;
 }
 
+Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    return ErrnoStatus("setsockopt(TCP_NODELAY)");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::pair<std::string, uint16_t>> ParseHostPort(
@@ -132,8 +140,24 @@ Result<int> ConnectTcp(const std::string& host, uint16_t port,
     ::close(fd);
     return s;
   }
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  SetNoDelay(fd).IgnoreError();  // Latency hint only.
+  return fd;
+}
+
+Result<int> AcceptTcp(int listen_fd) {
+  const int fd = ::accept(listen_fd, nullptr, nullptr);
+  if (fd < 0) {
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) {
+      return Status::NotFound("no pending connection");
+    }
+    return ErrnoStatus("accept");
+  }
+  Status s = SetNonBlocking(fd);
+  if (s.ok()) s = SetNoDelay(fd);
+  if (!s.ok()) {
+    ::close(fd);
+    return s;
+  }
   return fd;
 }
 

@@ -1,5 +1,5 @@
 // Thin POSIX TCP helpers shared by the server, the client library and the
-// benches: listener/connect setup, non-blocking mode, and EINTR/EAGAIN
+// benches: listener/accept/connect setup, non-blocking mode, and EINTR/EAGAIN
 // classification for the event loop's partial reads and writes. Everything
 // here returns Status instead of raw errno so the callers stay in the
 // library's error idiom.
@@ -31,6 +31,13 @@ Result<int> ListenTcp(const std::string& host, uint16_t port,
 /// left in blocking mode (the client library polls before reads).
 Result<int> ConnectTcp(const std::string& host, uint16_t port,
                        int timeout_ms = 5000);
+
+/// Accepts one pending connection on a listening socket and readies it
+/// for the event loop: non-blocking, with TCP_NODELAY so a small reply
+/// is never held back by Nagle behind an unacknowledged one. NotFound
+/// when nothing is pending (EAGAIN) or the call was interrupted; IOError
+/// otherwise (the accepted fd, if any, is closed).
+Result<int> AcceptTcp(int listen_fd);
 
 /// The locally bound port of a socket (e.g. after an ephemeral bind).
 Result<uint16_t> LocalPort(int fd);

@@ -136,7 +136,9 @@ Result<StableFinderResult> BfsStableFinder::Find(
               global.Offer(path);
             }
           }
-          // Extensions of subpaths ending at p.
+          // Extensions of subpaths ending at p. An edge spanning l or
+          // more intervals (possible when l <= gap) has none.
+          if (len >= l) continue;
           const uint32_t x_hi = l - len;
           for (uint32_t x = 1; x <= x_hi; ++x) {
             TopKHeap<>* src = ann[p].HeapFor(x);

@@ -8,6 +8,7 @@
 
 #include "stable/bfs_finder.h"
 #include "stable/brute_force_finder.h"
+#include "stable/online_finder.h"
 #include "test_helpers.h"
 
 namespace stabletext {
@@ -101,7 +102,10 @@ INSTANTIATE_TEST_SUITE_P(
         std::make_tuple(5u, 4u, 3u, 0u, size_t{2}, 1u),
         std::make_tuple(6u, 3u, 2u, 1u, size_t{5}, 4u),
         std::make_tuple(6u, 3u, 1u, 0u, size_t{10}, 0u),
-        std::make_tuple(7u, 2u, 2u, 2u, size_t{3}, 5u)),
+        std::make_tuple(7u, 2u, 2u, 2u, size_t{3}, 5u),
+        // l <= gap: some edges span more intervals than l.
+        std::make_tuple(5u, 4u, 2u, 1u, size_t{3}, 1u),
+        std::make_tuple(6u, 3u, 2u, 2u, size_t{4}, 2u)),
     [](const auto& info) {
       const auto& p = info.param;
       return "m" + std::to_string(std::get<0>(p)) + "n" +
@@ -111,6 +115,55 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<4>(p)) + "l" +
              std::to_string(std::get<5>(p));
     });
+
+TEST(BfsFinderTest, EdgeLongerThanLHasNoExtensions) {
+  // Gap 1, l = 1: the edge a -> c spans two intervals, more than l. It
+  // must be skipped, not extended (the extension bound l - len would
+  // wrap), and the answer must match the online finder's.
+  ClusterGraph g(3, 1);
+  const NodeId a = g.AddNode(0);
+  const NodeId b = g.AddNode(1);
+  const NodeId c = g.AddNode(2);
+  const NodeId d = g.AddNode(2);
+  ASSERT_TRUE(g.AddEdge(a, b, 0.5).ok());
+  ASSERT_TRUE(g.AddEdge(a, c, 0.9).ok());
+  ASSERT_TRUE(g.AddEdge(b, c, 0.4).ok());
+  ASSERT_TRUE(g.AddEdge(b, d, 0.7).ok());
+  g.SortChildren();
+  BfsFinderOptions opt;
+  opt.k = 5;
+  opt.l = 1;
+  auto r = BfsStableFinder(opt).Find(g);
+  ASSERT_TRUE(r.ok());
+  const auto& paths = r.value().paths;
+  ASSERT_EQ(paths.size(), 3u);
+  EXPECT_EQ(paths[0].nodes, (std::vector<NodeId>{b, d}));
+  EXPECT_EQ(paths[1].nodes, (std::vector<NodeId>{a, b}));
+  EXPECT_EQ(paths[2].nodes, (std::vector<NodeId>{b, c}));
+
+  OnlineFinderOptions oopt;
+  oopt.k = opt.k;
+  oopt.l = opt.l;
+  oopt.gap = 1;
+  OnlineStableFinder online(oopt);
+  for (uint32_t i = 0; i < g.interval_count(); ++i) {
+    online.BeginInterval();
+    for (size_t j = 0; j < g.IntervalNodes(i).size(); ++j) {
+      ASSERT_TRUE(online.AddNode().ok());
+    }
+    for (NodeId child : g.IntervalNodes(i)) {
+      for (const ClusterGraphEdge& pe : g.Parents(child)) {
+        ASSERT_TRUE(online.AddEdge(pe.target, child, pe.weight).ok());
+      }
+    }
+    ASSERT_TRUE(online.EndInterval().ok());
+  }
+  ASSERT_EQ(online.TopK().size(), paths.size());
+  for (size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_EQ(online.TopK()[i].nodes, paths[i].nodes);
+    EXPECT_EQ(online.TopK()[i].weight, paths[i].weight);
+  }
+}
 
 TEST(BfsFinderTest, MemoryBudgetForcesPassesButKeepsAnswer) {
   ClusterGraph graph = MakeRandomGraph(6, 30, 3, 1, 13);

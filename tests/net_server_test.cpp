@@ -6,6 +6,10 @@
 // writer and the test's client threads all overlap here.
 
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -187,6 +191,7 @@ TEST(NetProtocolTest, BodyCodecsRoundTrip) {
   stats.pushes_sent = 2;
   stats.queries_rejected = 3;
   stats.queries_served = 4;
+  stats.queries_failed = 8;
   WireStats decoded_stats;
   ASSERT_TRUE(
       DecodeStatsBody(EncodeStatsBody(stats), &decoded_stats).ok());
@@ -194,6 +199,7 @@ TEST(NetProtocolTest, BodyCodecsRoundTrip) {
   EXPECT_EQ(decoded_stats.queries_rejected, 3u);
   EXPECT_EQ(decoded_stats.subscriptions_active, 1u);
   EXPECT_EQ(decoded_stats.resident_bytes, 4096u);
+  EXPECT_EQ(decoded_stats.queries_failed, 8u);
 
   WireRetry retry{17, 5};
   WireRetry decoded_retry;
@@ -588,6 +594,36 @@ TEST(NetServerTest, GracefulShutdownFlushesDeltasThenByes) {
   auto after = client.NextPush(/*timeout_ms=*/5000, &is_bye);
   EXPECT_FALSE(after.ok());
   EXPECT_FALSE(is_bye);
+}
+
+// Accepted sockets are ready for the event loop: non-blocking, and with
+// TCP_NODELAY so a small reply is not held back behind an unacknowledged
+// one (Nagle plus the peer's delayed ACK).
+TEST(NetSocketTest, AcceptTcpSetsNonBlockingAndNoDelay) {
+  auto listener = ListenTcp("127.0.0.1", 0);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const int listen_fd = listener.value();
+  auto port = LocalPort(listen_fd);
+  ASSERT_TRUE(port.ok());
+  // Nothing pending yet: NotFound, not an error.
+  EXPECT_EQ(AcceptTcp(listen_fd).status().code(), StatusCode::kNotFound);
+
+  auto client = ConnectTcp("127.0.0.1", port.value());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(WaitReadable(listen_fd, 5000).ok());
+  auto accepted = AcceptTcp(listen_fd);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  const int fd = accepted.value();
+
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
+  EXPECT_NE(nodelay, 0);
+  EXPECT_NE(::fcntl(fd, F_GETFL, 0) & O_NONBLOCK, 0);
+
+  ::close(fd);
+  ::close(client.value());
+  ::close(listen_fd);
 }
 
 // PING and STATS stay responsive and consistent through the serving
